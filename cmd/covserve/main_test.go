@@ -417,6 +417,30 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMUPsUnboundedLevelSharesCache pins the MUP-cache key: every
+// spelling of "unbounded" (no maxlevel, maxlevel=0, maxlevel ≥ the
+// attribute count) runs one full search and is then answered from the
+// cache, and a negative maxlevel is refused.
+func TestMUPsUnboundedLevelSharesCache(t *testing.T) {
+	s := serveFixture(t) // two attributes
+	for i, target := range []string{"/mups?tau=1&maxlevel=0", "/mups?tau=1&maxlevel=2", "/mups?tau=1", "/mups?tau=1&maxlevel=9"} {
+		w := do(t, s, "GET", target, "")
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", target, w.Code, w.Body)
+		}
+		if resp := decode[mupsResponse](t, w); resp.TotalMUPs != 1 {
+			t.Fatalf("%s: %d MUPs, want 1", target, resp.TotalMUPs)
+		}
+		st := decode[statsResponse](t, do(t, s, "GET", "/stats", ""))
+		if st.FullSearches != 1 || st.CacheHits != int64(i) {
+			t.Errorf("after %s: full searches = %d, cache hits = %d; want 1 and %d", target, st.FullSearches, st.CacheHits, i)
+		}
+	}
+	if w := do(t, s, "GET", "/mups?tau=1&maxlevel=-1", ""); w.Code != http.StatusBadRequest {
+		t.Errorf("maxlevel=-1: status %d, want 400", w.Code)
+	}
+}
+
 // TestConcurrentTraffic races /coverage and /mups readers against
 // /append writers through the full HTTP stack; meaningful under -race.
 func TestConcurrentTraffic(t *testing.T) {

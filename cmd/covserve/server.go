@@ -518,6 +518,9 @@ func queryFindOptions(r *http.Request) (coverage.FindOptions, error) {
 		if err != nil {
 			return opts, fmt.Errorf("bad maxlevel %q: %w", v, err)
 		}
+		if l < 0 {
+			return opts, fmt.Errorf("bad maxlevel %d: must be ≥ 0 (0 means unbounded)", l)
+		}
 		opts.MaxLevel = l
 	}
 	return opts, nil

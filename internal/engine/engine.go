@@ -1234,8 +1234,9 @@ func (e *ShardedEngine) Oracle() index.Oracle {
 }
 
 // MUPs returns the maximal uncovered patterns under opts. Results are
-// cached per (Threshold, MaxLevel), with the least recently used
-// configuration evicted beyond Options.MaxCachedSearches: a query at
+// cached per (Threshold, MaxLevel) — every unbounded MaxLevel spelling
+// sharing one entry (mup.Options.Canonical) — with the least recently
+// used configuration evicted beyond Options.MaxCachedSearches: a query at
 // the current generation is answered from cache; after appends, the
 // stale cached set is repaired incrementally via mup.Repair (its
 // cached coverage values delta-updated from the added log, so
@@ -1261,6 +1262,7 @@ func (e *ShardedEngine) MUPs(opts mup.Options) (*mup.Result, error) {
 // mupsGen is MUPs plus the data generation the returned result
 // reflects — what the plan cache tags its entries with.
 func (e *ShardedEngine) mupsGen(opts mup.Options) (*mup.Result, uint64, error) {
+	opts = opts.Canonical(len(e.cards))
 	key := searchKey{tau: opts.Threshold, maxLevel: opts.MaxLevel}
 	e.mu.RLock()
 	if c, ok := e.cache[key]; ok && c.gen == e.gen {

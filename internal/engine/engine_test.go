@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -248,6 +249,46 @@ func TestCacheHitsAndGeneration(t *testing.T) {
 	}
 	if e.Generation() == gen0 {
 		t.Error("generation did not advance on append")
+	}
+}
+
+// TestUnboundedLevelSharesCacheEntry pins the cache key
+// normalization: MaxLevel ≤ 0 and MaxLevel ≥ d all name the unbounded
+// search, so only the first of them searches, for MUPs and plans alike.
+func TestUnboundedLevelSharesCacheEntry(t *testing.T) {
+	cards := []int{2, 3, 2}
+	schema := testSchema(t, cards)
+	e := NewFromDataset(datasetOf(t, schema, randomRows(rand.New(rand.NewSource(3)), cards, 60)), Options{})
+	var first *mup.Result
+	for i, level := range []int{0, len(cards), -1, len(cards) + 4} {
+		res, err := e.MUPs(mup.Options{Threshold: 6, MaxLevel: level})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = res
+		} else if res != first {
+			t.Errorf("MaxLevel %d: got a different result than the first unbounded search", level)
+		}
+		if st := e.Stats(); st.FullSearches != 1 || st.CacheHits != int64(i) {
+			t.Errorf("MaxLevel %d: full searches = %d, cache hits = %d; want 1 and %d", level, st.FullSearches, st.CacheHits, i)
+		}
+	}
+	// A real bound is a different search.
+	if _, err := e.MUPs(mup.Options{Threshold: 6, MaxLevel: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.FullSearches != 2 {
+		t.Errorf("MaxLevel 2 shared the unbounded entry: full searches = %d, want 2", st.FullSearches)
+	}
+	spec := PlanSpec{MaxLevel: 1}
+	for i, level := range []int{0, len(cards)} {
+		if _, err := e.Plan(context.Background(), mup.Options{Threshold: 6, MaxLevel: level}, spec); err != nil {
+			t.Fatal(err)
+		}
+		if st := e.Stats(); st.PlanHits != int64(i) {
+			t.Errorf("plan at MaxLevel %d: plan hits = %d, want %d", level, st.PlanHits, i)
+		}
 	}
 }
 

@@ -50,6 +50,12 @@ func (o *shardOracle) ComboCount(combo []uint8) int64 {
 	return o.bases[shardOfRow(combo, len(o.bases))].ComboCount(combo)
 }
 
+// NewRefiner satisfies index.Refinable: a refiner whose partitions
+// hold one run of combo ids per core and whose histograms sum the
+// per-core counts before the search classifies a child — the same
+// additivity the probes rely on.
+func (o *shardOracle) NewRefiner() *index.Refiner { return index.NewRefiner(o.bases) }
+
 // NewCoverageProber returns a prober holding one per-core prober; each
 // probe resolves the per-shard counts and merges them by summation.
 func (o *shardOracle) NewCoverageProber() index.CoverageProber {
@@ -101,4 +107,7 @@ func (p *shardProber) CoverageBatch(ps []pattern.Pattern, out []int64) {
 // the cost statistics stay comparable across shard counts.
 func (p *shardProber) Probes() int64 { return p.probes }
 
-var _ index.BatchCoverageProber = (*shardProber)(nil)
+var (
+	_ index.BatchCoverageProber = (*shardProber)(nil)
+	_ index.Refinable           = (*shardOracle)(nil)
+)

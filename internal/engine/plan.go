@@ -115,6 +115,7 @@ func diffMUPs(old, new []pattern.Pattern) (removed, added []pattern.Pattern) {
 // request returns ctx.Err() without storing anything. The caller must
 // not modify the returned plan.
 func (e *ShardedEngine) Plan(ctx context.Context, mopts mup.Options, spec PlanSpec) (*enhance.Plan, error) {
+	mopts = mopts.Canonical(len(e.cards))
 	key := planKeyFor(mopts, spec)
 	e.planProbes.Add(1)
 	res, gen, err := e.mupsGen(mopts)

@@ -32,6 +32,7 @@ type Index struct {
 	vecs    [][]*bitvec.Vector // [attribute][value] → bits over distinct combos
 	density [][]int            // [attribute][value] → set-bit count of the vector
 	counts  []int64            // multiplicity per distinct combo
+	rows    []uint8            // distinct combos in row form: combo k is rows[k*d:(k+1)*d]
 	combos  map[string]int64   // full combo → multiplicity (string fallback)
 	flat    *countstore.Probe  // full combo → multiplicity (packed, flat family)
 	dense   *countstore.Dense  // full combo → multiplicity (packed, dense)
@@ -66,6 +67,7 @@ func BuildFromDistinctKind(dd *dataset.Distinct, kind countstore.Kind, denseBits
 		cards:  cards,
 		vecs:   make([][]*bitvec.Vector, len(cards)),
 		counts: dd.Counts,
+		rows:   make([]uint8, 0, len(dd.Combos)*len(cards)),
 		nDist:  len(dd.Combos),
 	}
 	ix.initComboStore(kind, denseBits, len(dd.Combos))
@@ -79,6 +81,7 @@ func BuildFromDistinctKind(dd *dataset.Distinct, kind countstore.Kind, denseBits
 		for i, v := range combo {
 			ix.vecs[i][v].Set(k)
 		}
+		ix.rows = append(ix.rows, combo...)
 		ix.setCombo(combo, dd.Counts[k])
 		ix.total += dd.Counts[k]
 	}

@@ -41,6 +41,16 @@ func (o Options) levelBound(d int) int {
 	return o.MaxLevel
 }
 
+// Canonical returns o with every spelling of "unbounded" over a
+// d-attribute schema — a MaxLevel ≤ 0 or ≥ d — folded to 0, so caches
+// keyed on the options hold one entry per distinct search.
+func (o Options) Canonical(d int) Options {
+	if o.levelBound(d) == d {
+		o.MaxLevel = 0
+	}
+	return o
+}
+
 // Stats records the work an algorithm performed.
 type Stats struct {
 	// Algorithm is the name of the algorithm that produced the result.

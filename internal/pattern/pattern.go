@@ -284,6 +284,11 @@ func (p Pattern) rightmostDeterministic() int {
 	return -1
 }
 
+// Rule1Start returns the first attribute Rule 1 may fix in p: one
+// past its right-most deterministic element, 0 for the root. Each of
+// p's Rule-1 children fixes one attribute from there on.
+func (p Pattern) Rule1Start() int { return p.rightmostDeterministic() + 1 }
+
 // rightmostWildcard returns the index of the right-most
 // non-deterministic element of p, or -1 if p is fully deterministic.
 func (p Pattern) rightmostWildcard() int {
@@ -301,7 +306,7 @@ func (p Pattern) rightmostWildcard() int {
 // other than the root is generated by exactly one (parent, Rule 1)
 // application, turning the pattern graph into a tree rooted at All(d).
 func (p Pattern) Rule1Children(cards []int) []Pattern {
-	start := p.rightmostDeterministic() + 1
+	start := p.Rule1Start()
 	var out []Pattern
 	for i := start; i < len(p); i++ {
 		if p[i] != Wildcard {
@@ -320,7 +325,7 @@ func (p Pattern) Rule1Children(cards []int) []Pattern {
 // the extended slice. All children share one backing allocation,
 // keeping per-node garbage low in the traversal hot loops.
 func (p Pattern) AppendRule1Children(dst []Pattern, cards []int) []Pattern {
-	start := p.rightmostDeterministic() + 1
+	start := p.Rule1Start()
 	n := 0
 	for i := start; i < len(p); i++ {
 		if p[i] == Wildcard {
