@@ -36,8 +36,8 @@ type registryBenchReport struct {
 	Results       []registryBenchResult `json:"results"`
 }
 
-// registryBenchReps mirrors countsBenchReps: min-of-reps per cell, the
-// smoke test lowers it.
+// registryBenchReps is the min-of-reps count per cell; the smoke test
+// lowers it.
 var registryBenchReps = 3
 
 // registryBench regenerates BENCH_registry.json.

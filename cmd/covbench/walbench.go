@@ -24,8 +24,8 @@ import (
 type walBenchPoint struct {
 	Writers int `json:"writers"`
 	Appends int `json:"appends"`
-	// PerRecordNs: DisableGroupCommit, every append pays its own
-	// write+fsync inline. GroupedNs: the committer batches whatever
+	// PerRecordNs: writers take turns (one append in flight at a
+	// time), so every append pays its own write+fsync. GroupedNs: the committer batches whatever
 	// queued while the previous group was syncing. AppendsPerSync is
 	// acknowledged appends per fsync — consecutive appends in a group
 	// also coalesce into one WAL record, so this, not framed records,
@@ -64,13 +64,17 @@ type walBenchReport struct {
 // walAppendRun times total/W single-row appends from each of W
 // concurrent writers against a fresh fsyncing store, and returns
 // ns per acknowledged append plus the fsync (group commit) count.
-func walAppendRun(ds *dataset.Dataset, writers, total int, opts persist.Options) (nsPerOp float64, groups int64) {
+// With perRecord the writers serialize on a bench-side mutex around
+// each Append, so only one request is ever in flight: every append
+// forms its own group and pays its own fsync — the per-record
+// baseline the grouped run is compared against.
+func walAppendRun(ds *dataset.Dataset, writers, total int, perRecord bool) (nsPerOp float64, groups int64) {
 	dir, err := os.MkdirTemp("", "covbench-wal-*")
 	if err != nil {
 		fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	store, err := persist.Open(dir, opts)
+	store, err := persist.Open(dir, persist.Options{SyncWAL: true})
 	if err != nil {
 		fatal(err)
 	}
@@ -81,6 +85,7 @@ func walAppendRun(ds *dataset.Dataset, writers, total int, opts persist.Options)
 	}
 
 	perWriter := total / writers
+	var turn sync.Mutex
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < writers; w++ {
@@ -89,7 +94,14 @@ func walAppendRun(ds *dataset.Dataset, writers, total int, opts persist.Options)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if err := store.Append([][]uint8{ds.Row((w*perWriter + i) % ds.NumRows())}); err != nil {
+				if perRecord {
+					turn.Lock()
+				}
+				err := store.Append([][]uint8{ds.Row((w*perWriter + i) % ds.NumRows())})
+				if perRecord {
+					turn.Unlock()
+				}
+				if err != nil {
 					fatal(err)
 				}
 			}
@@ -188,8 +200,8 @@ func walBench(cfg config) {
 
 	ds := datagen.AirBnB(2000, 6, cfg.seed)
 	for _, w := range writerCounts {
-		per, _ := walAppendRun(ds, w, total, persist.Options{SyncWAL: true, DisableGroupCommit: true})
-		grp, groups := walAppendRun(ds, w, total, persist.Options{SyncWAL: true})
+		per, _ := walAppendRun(ds, w, total, true)
+		grp, groups := walAppendRun(ds, w, total, false)
 		pt := walBenchPoint{
 			Writers:     w,
 			Appends:     (total / w) * w,

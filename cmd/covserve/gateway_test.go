@@ -93,6 +93,12 @@ func TestGatewayTenantLifecycle(t *testing.T) {
 	if w := doG(t, g, "PUT", "/datasets/bad*id", schemaA); w.Code != http.StatusBadRequest {
 		t.Fatalf("bad id: status %d, want 400", w.Code)
 	}
+	// The count-store layout follows from the schema; a body naming
+	// one carries an unknown field.
+	layout := strings.Replace(schemaA, "{", `{"countstore":"flat",`, 1)
+	if w := doG(t, g, "PUT", "/datasets/c", layout); w.Code != http.StatusBadRequest {
+		t.Fatalf("countstore field: status %d, want 400", w.Code)
+	}
 	if w := doG(t, g, "PUT", "/datasets/b", schemaB); w.Code != http.StatusCreated {
 		t.Fatalf("create b: status %d: %s", w.Code, w.Body)
 	}

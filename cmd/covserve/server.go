@@ -284,9 +284,9 @@ type planCacheJSON struct {
 }
 
 // shardJSON is one shard core's counters on /stats. The store block
-// reports the count-store layout the core resolved to ("map", "flat"
-// or "dense"), its slot-fill ratio (0 for the slotless map) and the
-// resident bytes of its backing arrays.
+// reports the core's count-store layout ("flat", or "map" on schemas
+// past the 128-bit packing limit), its slot-fill ratio (0 for the
+// slotless map) and the resident bytes of its backing arrays.
 type shardJSON struct {
 	Rows           int64   `json:"rows"`
 	Distinct       int     `json:"distinct_combinations"`

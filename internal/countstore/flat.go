@@ -324,7 +324,6 @@ func (f *Flat) Negate() {
 
 func (f *Flat) Mem() Mem {
 	return Mem{
-		Kind:  KindFlat,
 		Live:  f.Len(),
 		Slots: len(f.slots) + len(f.old),
 		Bytes: int64(len(f.slots)+len(f.old)) * flatSlotBytes,

@@ -5,10 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
-	"coverage/internal/countstore"
 	"coverage/internal/mup"
+	"coverage/internal/pattern"
 )
 
 // normalizeState strips the restore-acceleration key lists (a delta
@@ -310,49 +311,77 @@ func TestDeltaApplyRejectsMismatch(t *testing.T) {
 	assertStatesEqual(t, st, e.ExportState())
 }
 
-// TestWindowOrderByPageOccupancy pins the satellite behavior: creating
-// a window log orders the synthesized arrival sequence by dense-page
-// occupancy (sparsest page first), identically across count-store
-// layouts, and the dense fast path agrees with the generic tally.
+// TestWindowOrderByPageOccupancy pins the arrival order SetWindow
+// synthesizes for rows already present when a window is first enabled
+// to a rule the test computes itself: page each combination by its
+// canonical packed key (pattern.NewCodec, 4096 keys per page), tally
+// the distinct combinations per page, order sparsest page first, then
+// by page, then by key, and repeat each combination by its
+// multiplicity. Packed and string-keyed engines must both follow it,
+// on a one-page schema and on one spread over several pages.
 func TestWindowOrderByPageOccupancy(t *testing.T) {
-	cards := []int{3, 4, 2, 3} // 9 packed bits: dense-eligible
-	schema := testSchema(t, cards)
 	rng := rand.New(rand.NewSource(17))
-	rows := randomRows(rng, cards, 80)
+	for _, tc := range []struct {
+		name  string
+		cards []int
+		rows  int
+		multi bool
+	}{
+		{"one-page", []int{3, 4, 2, 3}, 80, false},
+		{"multi-page", []int{16, 16, 16, 4}, 300, true},
+	} {
+		rows := randomRows(rng, tc.cards, tc.rows)
+		want, pages := goldenWindowOrder(tc.cards, rows)
+		if tc.multi != (pages > 1) {
+			t.Fatalf("%s: rows span %d pages", tc.name, pages)
+		}
+		for _, stringKeys := range []bool{false, true} {
+			e := NewSharded(testSchema(t, tc.cards), 2, Options{stringKeys: stringKeys})
+			if err := e.Append(rows); err != nil {
+				t.Fatal(err)
+			}
+			e.SetWindow(2 * tc.rows)
+			if got := e.log.keys[e.log.head:]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s (stringKeys=%v): initial window order diverges from the page-occupancy rule", tc.name, stringKeys)
+			}
+		}
+	}
+}
 
-	var logs [][]string
-	for _, k := range []countstore.Kind{countstore.KindMap, countstore.KindFlat, countstore.KindDense} {
-		e := NewSharded(schema, 2, Options{CountStore: k})
-		if err := e.Append(rows); err != nil {
-			t.Fatal(err)
+// goldenWindowOrder is the reference initial window order for rows
+// (see TestWindowOrderByPageOccupancy) and the number of pages the
+// rows' combinations span.
+func goldenWindowOrder(cards []int, rows [][]uint8) ([]string, int) {
+	canon := pattern.NewCodec(cards)
+	mult := map[string]int{}
+	for _, r := range rows {
+		mult[string(r)]++
+	}
+	page := func(k string) uint64 {
+		pk := canon.PackedKeyString(k)
+		return pk[0]>>12 | pk[1]<<52
+	}
+	live := map[uint64]int{}
+	keys := make([]string, 0, len(mult))
+	for k := range mult {
+		keys = append(keys, k)
+		live[page(k)]++
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		pi, pj := page(keys[i]), page(keys[j])
+		if live[pi] != live[pj] {
+			return live[pi] < live[pj]
 		}
-		e.SetWindow(200)
-		logs = append(logs, append([]string(nil), e.log.keys[e.log.head:]...))
-	}
-	for i := 1; i < len(logs); i++ {
-		if !reflect.DeepEqual(logs[0], logs[i]) {
-			t.Fatalf("window ordering diverges between layouts %d and %d", 0, i)
+		if pi != pj {
+			return pi < pj
+		}
+		return keys[i] < keys[j]
+	})
+	var order []string
+	for _, k := range keys {
+		for n := 0; n < mult[k]; n++ {
+			order = append(order, k)
 		}
 	}
-
-	// With 9 packed bits the whole key space is one dense page, so the
-	// occupancy orderings above all reduce to one page. Force a
-	// multi-page comparison through the generic path with a schema too
-	// wide for one page: ordering must still be deterministic and
-	// derived from the canonical codec.
-	wideCards := []int{16, 16, 16, 4} // 14 packed bits: 4 pages
-	wideSchema := testSchema(t, wideCards)
-	wideRows := randomRows(rng, wideCards, 300)
-	var wideLogs [][]string
-	for _, k := range []countstore.Kind{countstore.KindMap, countstore.KindFlat} {
-		e := NewSharded(wideSchema, 2, Options{CountStore: k})
-		if err := e.Append(wideRows); err != nil {
-			t.Fatal(err)
-		}
-		e.SetWindow(400)
-		wideLogs = append(wideLogs, append([]string(nil), e.log.keys[e.log.head:]...))
-	}
-	if !reflect.DeepEqual(wideLogs[0], wideLogs[1]) {
-		t.Fatal("window ordering diverges between layouts on a multi-page schema")
-	}
+	return order, len(live)
 }

@@ -28,7 +28,14 @@ type keyCodec struct {
 
 func newKeyCodec(cards []int, forceString bool) *keyCodec {
 	c := pattern.NewCodec(cards)
-	return &keyCodec{codec: c, packed: c.Packable() && !forceString}
+	kc := &keyCodec{codec: c, packed: c.Packable() && !forceString}
+	// The flat count tables only hash their keys, so the bit-compact
+	// codec buys nothing; the byte-aligned raw codec packs row bytes
+	// with two word loads instead of a per-attribute loop.
+	if raw := pattern.NewRawCodec(len(cards)); kc.packed && raw.Packable() {
+		kc.codec = raw
+	}
+	return kc
 }
 
 // ofRow returns the key of one full value combination held as raw row

@@ -129,6 +129,16 @@ func TestShardProberCoverageBatch(t *testing.T) {
 // every coverage answer, MUP set, statistic and exported state must be
 // identical — the key representation is invisible above the maps.
 func TestPackedVsStringEngineEquivalence(t *testing.T) {
+	packedVsStringSuite(t, 17)
+}
+
+// packedVsStringSuite is the packed-vs-string equivalence check for one
+// schedule seed (seedMul × the shard count). The two engines also run
+// the two count-store layouts — the flat table on packed keys, the map
+// on string keys — so the suite doubles as the layout equivalence
+// check. After the schedule, each engine's exported state must restore
+// onto the other representation unchanged.
+func packedVsStringSuite(t *testing.T, seedMul int64) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cards := []int{3, 4, 2, 3}
@@ -144,7 +154,31 @@ func TestPackedVsStringEngineEquivalence(t *testing.T) {
 			if str.keys.packed {
 				t.Fatal("precondition: stringKeys override ignored")
 			}
-			rng := rand.New(rand.NewSource(int64(17 * shards)))
+			if p, s := packed.Stats().Shards[0].Store, str.Stats().Shards[0].Store; p != "flat" || s != "map" {
+				t.Fatalf("shard stores: packed %q, string-keyed %q; want flat and map", p, s)
+			}
+			var ps []pattern.Pattern
+			pattern.EnumerateAll(cards, func(p pattern.Pattern) bool {
+				ps = append(ps, p.Clone())
+				return true
+			})
+			sameCoverage := func(what string, got, want *Engine) {
+				t.Helper()
+				w, err := want.CoverageBatch(ps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := got.CoverageBatch(ps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range ps {
+					if w[i] != g[i] {
+						t.Fatalf("%s: cov(%v) = %d, want %d", what, ps[i], g[i], w[i])
+					}
+				}
+			}
+			rng := rand.New(rand.NewSource(seedMul * int64(shards)))
 			const tau = 4
 			for step := 0; step < 25; step++ {
 				switch {
@@ -176,24 +210,7 @@ func TestPackedVsStringEngineEquivalence(t *testing.T) {
 					t.Fatalf("step %d: stats diverge: packed rows/distinct/tombstones %d/%d/%d, string %d/%d/%d",
 						step, pst.Rows, pst.Distinct, pst.Tombstones, sst.Rows, sst.Distinct, sst.Tombstones)
 				}
-				var ps []pattern.Pattern
-				pattern.EnumerateAll(cards, func(p pattern.Pattern) bool {
-					ps = append(ps, p.Clone())
-					return true
-				})
-				want, err := str.CoverageBatch(ps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := packed.CoverageBatch(ps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range ps {
-					if want[i] != got[i] {
-						t.Fatalf("step %d: cov(%v) = %d packed, %d string-keyed", step, ps[i], got[i], want[i])
-					}
-				}
+				sameCoverage(fmt.Sprintf("step %d: packed vs string-keyed", step), packed, str)
 				wres, err := str.MUPs(mup.Options{Threshold: tau})
 				if err != nil {
 					t.Fatal(err)
@@ -222,12 +239,22 @@ func TestPackedVsStringEngineEquivalence(t *testing.T) {
 					t.Fatalf("exported count of %v: %d packed, %d string-keyed", pattern.Pattern(k), pstate.Counts[k], c)
 				}
 			}
-			restored, err := NewFromState(pstate, sopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if restored.Rows() != packed.Rows() {
-				t.Fatalf("string-keyed restore of packed state: rows = %d, want %d", restored.Rows(), packed.Rows())
+			for _, r := range []struct {
+				what  string
+				state *State
+				onto  Options
+			}{
+				{"string-keyed restore of packed state", pstate, sopts},
+				{"packed restore of string-keyed state", sstate, opts},
+			} {
+				restored, err := NewFromState(r.state, r.onto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if restored.Rows() != packed.Rows() {
+					t.Fatalf("%s: rows = %d, want %d", r.what, restored.Rows(), packed.Rows())
+				}
+				sameCoverage(r.what, restored, packed)
 			}
 		})
 	}

@@ -432,12 +432,18 @@ func repairBidirectionalKeyed[K comparable](ix index.Oracle, old *Result, remove
 	// Seed pass. The expansion waves hold nodes known to be uncovered
 	// in the old state (old MUPs and, transitively, their descendants —
 	// a child of a formerly uncovered node was uncovered too).
+	// Phases B and C flip a node's pattern in place while checking its
+	// parents, so each seed gets its own copy: old.MUPs belongs to a
+	// cached result that concurrent readers (and repairs) share. One
+	// backing array holds every copy.
 	visited := make(map[K]bool, len(old.MUPs))
 	wave := make([]repairNode, 0, len(old.MUPs))
+	seedBuf := make([]uint8, 0, len(old.MUPs)*len(cards))
 	for i, m := range old.MUPs {
 		if k := key(m); !visited[k] {
 			visited[k] = true
-			wave = append(wave, repairNode{p: m, seed: i})
+			seedBuf = append(seedBuf, m...)
+			wave = append(wave, repairNode{p: seedBuf[len(seedBuf)-len(m) : len(seedBuf) : len(seedBuf)], seed: i})
 		}
 	}
 

@@ -3,6 +3,7 @@ package mup
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"coverage/internal/dataset"
@@ -349,5 +350,92 @@ func TestRepairBidirectionalThresholdZero(t *testing.T) {
 	}
 	if len(res.MUPs) != 0 {
 		t.Errorf("MUPs = %v, want none at τ=0", res.MUPs)
+	}
+}
+
+// TestRepairBidirectionalSharedOldConcurrent runs two repairs at once
+// from one shared cached result, the way concurrent /mups requests
+// repair the same cache entry. The old result is read-only to a
+// repair: under -race any in-place edit of its MUPs is a data race,
+// and afterwards they must be unchanged.
+func TestRepairBidirectionalSharedOldConcurrent(t *testing.T) {
+	cards := []int{3, 3, 2, 3}
+	attrs := make([]dataset.Attribute, len(cards))
+	for i, c := range cards {
+		vals := make([]string, c)
+		for v := range vals {
+			vals[v] = fmt.Sprintf("v%d", v)
+		}
+		attrs[i] = dataset.Attribute{Name: fmt.Sprintf("a%d", i), Values: vals}
+	}
+	ms := newMultiset(dataset.MustSchema(attrs))
+	rng := rand.New(rand.NewSource(5))
+	randCombo := func() pattern.Pattern {
+		c := make(pattern.Pattern, len(cards))
+		for i, card := range cards {
+			c[i] = uint8(rng.Intn(card))
+		}
+		return c
+	}
+	for i := 0; i < 120; i++ {
+		ms.add(randCombo(), 1)
+	}
+	popts := ParallelOptions{Options: Options{Threshold: 3}, Workers: 2}
+	old, err := Naive(ms.index(), popts.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([]pattern.Pattern, len(old.MUPs))
+	for i, m := range old.MUPs {
+		before[i] = m.Clone()
+	}
+	var removed []Delta
+	for len(removed) < 4 {
+		c := randCombo()
+		if ms.counts[string(c)] > 0 {
+			ms.add(c, -1)
+			removed = append(removed, Delta{Combo: c, Count: -1})
+		}
+	}
+	ix := ms.index()
+	want, err := Naive(ix, popts.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The point of the test: some old MUP survives, so both repairs
+	// run their maximality checks on the shared seed patterns.
+	survivors := 0
+	for _, m := range want.MUPs {
+		for _, o := range before {
+			if m.Equal(o) && m.Level() > 0 {
+				survivors++
+			}
+		}
+	}
+	if survivors == 0 {
+		t.Fatal("precondition: no old MUP survives the removal")
+	}
+
+	results := make([]*Result, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = RepairBidirectional(ix, old, removed, []Delta{}, popts)
+		}(i)
+	}
+	wg.Wait()
+	for i, got := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		mustEqualMUPs(t, got, want, fmt.Sprintf("concurrent repair %d", i))
+	}
+	for i, m := range old.MUPs {
+		if !m.Equal(before[i]) {
+			t.Fatalf("old.MUPs[%d] = %v after repair, was %v", i, m, before[i])
+		}
 	}
 }

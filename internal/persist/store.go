@@ -33,12 +33,6 @@ type Options struct {
 	// (recovery applies the whole chain, so its length is a recovery
 	// latency knob). 0 means the default of 8.
 	MaxDeltaChain int
-	// DisableGroupCommit turns off the commit pipeline: every mutation
-	// applies and logs inline under the store lock, paying its own
-	// write (and fsync, with SyncWAL) instead of sharing a group. This
-	// is the pre-pipeline behavior, kept as a benchmark baseline and an
-	// escape hatch.
-	DisableGroupCommit bool
 	// Engine configures engines built by Recover.
 	Engine engine.Options
 }
@@ -151,9 +145,9 @@ type Store struct {
 	eng    *engine.Engine
 	wal    *walWriter
 
-	// committer is the group-commit loop (nil before Attach/Recover,
-	// with DisableGroupCommit, and after Close — mutations then commit
-	// inline as groups of one). Atomic so submit can enqueue while a
+	// committer is the group-commit loop (nil before Attach/Recover
+	// and after Close — mutations then commit inline as groups of
+	// one). Atomic so submit can enqueue while a
 	// group commit holds s.mu through its fsync: waiting writers piling
 	// into the queue during the sync IS the batching.
 	committer atomic.Pointer[walCommitter]
@@ -459,9 +453,7 @@ func (s *Store) startPipelineLocked(gen uint64) {
 	s.commitGen = gen
 	s.commitCh = make(chan struct{})
 	s.hubMu.Unlock()
-	if !s.opts.DisableGroupCommit {
-		s.committer.Store(newWALCommitter(s))
-	}
+	s.committer.Store(newWALCommitter(s))
 }
 
 // Attach starts persistence for a freshly built engine: it writes the
@@ -543,9 +535,8 @@ func (s *Store) SetWindow(maxRows int) error {
 }
 
 // submit routes one mutation into the commit pipeline. Without a
-// committer (group commit disabled, store closed, or the committer
-// shut down mid-flight) the request commits inline as a group of one —
-// the exact pre-pipeline behavior.
+// committer (store not yet attached, closed, or the committer shut
+// down mid-flight) the request commits inline as a group of one.
 func (s *Store) submit(req *commitReq) <-chan error {
 	c := s.committer.Load()
 	if c == nil || !c.enqueue(req) {
